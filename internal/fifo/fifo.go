@@ -13,8 +13,7 @@
 // cursor: each producer CASes `reserve` forward to claim a region, writes
 // its entry into the claimed (disjoint) words, then publishes by advancing
 // `back` in reservation order. Concurrent consumers within one domain
-// still serialize on a consumer-local lock (the channel worker is the only
-// steady-state consumer).
+// still serialize on a consumer-local lock.
 package fifo
 
 import (
@@ -502,6 +501,20 @@ func (f *FIFO) AwaitQuiesce(maxWait time.Duration) bool {
 	return true
 }
 
+// HeadLen reports the payload length of the next entry without consuming
+// it, and false when the FIFO is empty. The answer holds only for a
+// caller that excludes every other consumer of this endpoint meanwhile.
+func (f *FIFO) HeadLen() (int, bool) {
+	d := f.desc
+	front := d.front.Load()
+	if front == d.back.Load() {
+		return 0, false
+	}
+	var meta [WordBytes]byte
+	f.readWords(front, meta[:])
+	return int(binary.LittleEndian.Uint32(meta[2:6])), true
+}
+
 // Empty reports whether the FIFO has no packets.
 func (f *FIFO) Empty() bool {
 	return f.desc.front.Load() == f.desc.back.Load()
@@ -516,7 +529,11 @@ func (f *FIFO) UsedBytes() int {
 // --- event-suppression and waiting-list flags (shared) ---
 
 // ParkConsumer marks the consumer as about to sleep; it returns false —
-// cancelling the park — if packets arrived in the meantime.
+// cancelling the park — if packets arrived in the meantime or the FIFO is
+// inactive. Inactive is terminal: once set it is never cleared, so every
+// later ParkConsumer also returns false. A loop that drains until the
+// park succeeds must therefore test Inactive itself and exit on it, or it
+// spins forever once either end disengages.
 func (f *FIFO) ParkConsumer() bool {
 	d := f.desc
 	d.consumerParked.Store(true)
@@ -526,6 +543,12 @@ func (f *FIFO) ParkConsumer() bool {
 	}
 	return true
 }
+
+// UnparkConsumer clears the parked mark without waiting for a producer
+// to consume it: a consumer context that is about to poll the ring tells
+// producers not to notify. Whoever stops polling last must ParkConsumer
+// again, or later pushes raise no event.
+func (f *FIFO) UnparkConsumer() { f.desc.consumerParked.Store(false) }
 
 // NeedKickConsumer reports (and consumes) whether the consumer is parked;
 // a true result obliges the producer to send one event notification.

@@ -294,3 +294,27 @@ func TestFIFOOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestHeadLenPeeksWithoutConsuming(t *testing.T) {
+	f := Attach(NewDescriptor(4096))
+	if _, ok := f.HeadLen(); ok {
+		t.Fatal("HeadLen on an empty FIFO reported an entry")
+	}
+	for _, n := range []int{3000, 7} {
+		if ok, err := f.PushAt(make([]byte, n), 42); !ok || err != nil {
+			t.Fatalf("push %d: %v %v", n, ok, err)
+		}
+	}
+	for _, want := range []int{3000, 7} {
+		if n, ok := f.HeadLen(); !ok || n != want {
+			t.Fatalf("HeadLen = %d, %v; want %d", n, ok, want)
+		}
+		if n, ok := f.HeadLen(); !ok || n != want {
+			t.Fatalf("second HeadLen = %d, %v; want %d (peek consumed)", n, ok, want)
+		}
+		p, ok := f.Pop()
+		if !ok || len(p) != want {
+			t.Fatalf("Pop = %d bytes, %v; want %d", len(p), ok, want)
+		}
+	}
+}

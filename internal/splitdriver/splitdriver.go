@@ -254,15 +254,20 @@ func connectBackend(dom0 *hypervisor.Domain, guestID hypervisor.DomID, br *bridg
 	if nb.rxPort, err = dom0.BindInterdomain(guestID, hypervisor.Port(rxp)); err != nil {
 		return nil, err
 	}
+	// Join the bridge before installing processTx: the guest may already
+	// have frames on the tx ring and notify the moment the handler is in,
+	// and processTx forwards them through nb.port.
+	nb.port = br.AddPort(fmt.Sprintf("vif%d.0", guestID), nb.deliverToGuest, false)
 	if err := dom0.SetEventHandler(nb.txPort, nb.processTx); err != nil {
+		br.RemovePort(nb.port)
 		return nil, err
 	}
 	// The rx channel only carries back->front notifications; nothing to
 	// handle on the backend side.
 	if err := dom0.SetEventHandler(nb.rxPort, func() {}); err != nil {
+		br.RemovePort(nb.port)
 		return nil, err
 	}
-	nb.port = br.AddPort(fmt.Sprintf("vif%d.0", guestID), nb.deliverToGuest, false)
 	_ = dom0.StoreWrite(base+"/backend-state", "connected")
 	return nb, nil
 }

@@ -246,3 +246,52 @@ func TestManySmallPacketsNoLeakage(t *testing.T) {
 		t.Fatalf("delivered only %d/%d datagrams", received, n)
 	}
 }
+
+// TestTxNotifyDuringBackendConnect reattaches a vif while the guest keeps
+// a frame on the tx ring and notifies the tx port without pause, so the
+// first processTx upcall lands while connectBackend is still running —
+// the reattach sequence every suspend/resume and migration drives. The
+// backend must be on the bridge before that upcall can run: otherwise
+// processTx forwards through a nil port (a panic), and under -race the
+// unordered write and read of the port is reported.
+func TestTxNotifyDuringBackendConnect(t *testing.T) {
+	hv := hypervisor.New(hypervisor.Config{Machine: "host"})
+	br := bridge.New(hv.Model(), hv.Counters())
+	g := hv.CreateDomain("guest", 0)
+	nf, err := Connect(g, br, pkt.XenMAC(0, byte(g.ID()), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nf.Shutdown()
+	frame := pkt.BuildFrame(pkt.BroadcastMAC, nf.MAC(), pkt.EtherTypeIPv4, make([]byte, 64))
+	for i := 0; i < 20; i++ {
+		nf.Disconnect()
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			queued := false
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !queued {
+					// Fails with ErrDetached until attach reopens the vif.
+					queued = nf.Transmit(frame) == nil
+				}
+				nf.mu.Lock()
+				port := nf.txPort
+				nf.mu.Unlock()
+				_ = g.NotifyPort(port) // errors until the backend binds
+			}
+		}()
+		err := nf.Reattach(br)
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatalf("reattach %d: %v", i, err)
+		}
+	}
+}
