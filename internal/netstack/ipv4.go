@@ -168,8 +168,9 @@ func (s *Stack) transmitIPResolved(ifc *Iface, dstMAC pkt.MAC, datagram []byte) 
 }
 
 // ipInput is layer-3 receive: validate, reassemble fragments, dispatch to
-// the transport. injected marks packets arriving via InjectIP (XenLoop).
-func (s *Stack) ipInput(ifc *Iface, data []byte, injected bool) {
+// the transport. src is the busy-pollable source the packet was drained
+// from (InjectIPFrom), nil for a device or InjectIP.
+func (s *Stack) ipInput(data []byte, src BusyPoller) {
 	h, payload, err := pkt.ParseIPv4(data)
 	if err != nil {
 		return
@@ -190,9 +191,9 @@ func (s *Stack) ipInput(ifc *Iface, data []byte, injected bool) {
 	case pkt.ProtoICMP:
 		s.icmp.input(h, payload)
 	case pkt.ProtoUDP:
-		s.udp.input(h, payload)
+		s.udp.input(h, payload, src)
 	case pkt.ProtoTCP:
-		s.tcp.input(h, payload)
+		s.tcp.input(h, payload, src)
 	}
 }
 

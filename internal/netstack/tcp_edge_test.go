@@ -658,7 +658,7 @@ func TestTCPAckAcceptedAfterGoBackNRewind(t *testing.T) {
 	c.segArrives(&pkt.TCPHeader{
 		SrcPort: tuple.remotePort, DstPort: tuple.localPort,
 		Flags: pkt.TCPAck, Ack: ackInFlight, Window: 65535,
-	}, nil)
+	}, nil, nil)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
